@@ -15,6 +15,7 @@
 #include "conform/oracle.hpp"
 #include "conform/requirements.hpp"
 #include "core/context.hpp"
+#include "core/json.hpp"
 #include "cspm/eval.hpp"
 #include "ota/ota.hpp"
 #include "store/cache.hpp"
@@ -37,45 +38,6 @@ std::vector<std::string> collect_trace(const Context& ctx,
     out.push_back(ctx.event_name(cex.event));
   }
   return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_string_list(const std::vector<std::string>& xs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + json_escape(xs[i]) + "\"";
-  }
-  return out + "]";
 }
 
 std::string fmt_pct(double v) {

@@ -1,7 +1,6 @@
 #include "learn/run.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -14,6 +13,7 @@
 #include "conform/requirements.hpp"
 #include "core/cancel.hpp"
 #include "core/context.hpp"
+#include "core/json.hpp"
 #include "learn/cache.hpp"
 #include "learn/compile.hpp"
 #include "learn/equiv.hpp"
@@ -27,45 +27,6 @@
 namespace ecucsp::learn {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_string_list(const std::vector<std::string>& xs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + json_escape(xs[i]) + "\"";
-  }
-  return out + "]";
-}
 
 std::vector<std::string> learning_alphabet(
     const conform::FrameCodec& codec,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/json.hpp"
+
 namespace ecucsp::lint {
 
 std::string_view to_string(Severity s) {
@@ -68,26 +70,6 @@ void append_caret_block(std::string& out, std::string_view src_line,
   out += '^';
   for (int i = 1; i < span.length; ++i) out += '~';
   out += '\n';
-}
-
-void json_escape(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace

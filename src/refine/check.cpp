@@ -146,6 +146,17 @@ Counterexample to_counterexample(WaveOutcome&& out) {
   return ce;
 }
 
+/// A finished unary search as a result: passed, or its counterexample.
+CheckResult verdict_of(WaveOutcome&& out) {
+  CheckResult result;
+  if (out.violated) {
+    result.counterexample = to_counterexample(std::move(out));
+  } else {
+    result.passed = true;
+  }
+  return result;
+}
+
 // --- wave-engine graph adapters ---------------------------------------------
 //
 // Each check is a search over some graph; the adapters below give the wave
@@ -244,11 +255,13 @@ struct LtsStateHash {
   std::size_t operator()(StateId s) const { return std::hash<StateId>{}(s); }
 };
 
-/// IMPL :[deadlock free] — a reachability search for stuck non-terminated
-/// states. Post-tick and Omega classification was baked into the compact
-/// flags at conversion time, so inspect() is a flag test.
-struct DeadlockGraph {
+/// IMPL :[deadlock free] and IMPL :[divergence free] — reachability of a
+/// state marked in `bad`, reported as a `kind` violation. The two checks
+/// differ only in which states they mark (see unary_uncached's callers).
+struct ReachabilityGraph {
   const CompactLts& lts;
+  const std::vector<bool>& bad;
+  Counterexample::Kind kind;
 
   using Node = StateId;
   using NodeHash = LtsStateHash;
@@ -257,10 +270,7 @@ struct DeadlockGraph {
   bool prune(Node) const { return false; }
 
   std::optional<WaveViolation> inspect(Node s) const {
-    // States entered by a tick are successful termination, not deadlock.
-    if (lts.is_deadlock(s)) {
-      return WaveViolation{rank(Counterexample::Kind::Deadlock), 0, EventSet{}};
-    }
+    if (bad[s]) return WaveViolation{rank(kind), 0, EventSet{}};
     return std::nullopt;
   }
 
@@ -269,30 +279,6 @@ struct DeadlockGraph {
     const std::uint32_t k = lts.begin(s) + static_cast<std::uint32_t>(i);
     // global_event maps the interned tau back to TAU, so rebuild_trace's
     // tau elision behaves exactly as before.
-    return {false, lts.global_event(lts.events[k]), lts.targets[k], {}};
-  }
-};
-
-/// IMPL :[divergence free] — reachability of a state on a tau cycle.
-struct DivergenceGraph {
-  const CompactLts& lts;
-  const std::vector<bool>& diverges;
-
-  using Node = StateId;
-  using NodeHash = LtsStateHash;
-
-  Node root() const { return lts.root; }
-  bool prune(Node) const { return false; }
-  std::optional<WaveViolation> inspect(Node s) const {
-    if (diverges[s]) {
-      return WaveViolation{rank(Counterexample::Kind::Divergence), 0,
-                           EventSet{}};
-    }
-    return std::nullopt;
-  }
-  std::size_t degree(Node s) const { return lts.degree(s); }
-  WaveEdge<Node> edge(Node s, std::size_t i) const {
-    const std::uint32_t k = lts.begin(s) + static_cast<std::uint32_t>(i);
     return {false, lts.global_event(lts.events[k]), lts.targets[k], {}};
   }
 };
@@ -418,138 +404,113 @@ CheckResult refinement_sweep(const NormLts& norm, const CompactLts& impl,
   return result;
 }
 
+/// The fail-replay policy, coded once for every check: `run(reduce)` sweeps
+/// the machines `reduce` maps its inputs to and returns that sweep's result.
+/// The reduced machines decide the verdict; a violation is re-swept on the
+/// unreduced ones, so the counterexample (and its canonical minimal-trace
+/// tie-break) and the stats of a FAIL are byte for byte those of
+/// Compression::None — FDR's "debug the uncompressed process" discipline.
+template <typename Run>
+CheckResult with_fail_replay(Compression mode, CancelToken* cancel, Run run) {
+  const auto unreduced = [](const CompactLts& c) -> const CompactLts& {
+    return c;
+  };
+  if (mode == Compression::None) return run(unreduced);
+  CheckResult result = run([&](const CompactLts& c) {
+    return compress_compact(c, mode, nullptr, cancel);
+  });
+  if (!result.passed) result = run(unreduced);
+  return result;
+}
+
 CheckResult refinement_uncached(Context& ctx, ProcessRef spec, ProcessRef impl,
                                 Model model, std::size_t max_states,
                                 CancelToken* cancel, unsigned threads,
                                 Compression mode) {
   // Compilation and normalization need the Context, so they stay on the
-  // calling thread; the product sweep below is Context-free and parallel.
+  // calling thread; the product sweep is Context-free and parallel. Both
+  // component machines are reduced before normalization and the product
+  // walk.
   const Lts spec_lts = compile_or_load(ctx, spec, max_states, cancel);
+  const CompactLts spec_c = compact_from_lts(spec_lts);
+  const Lts impl_lts = compile_or_load(ctx, impl, max_states, cancel);
+  const CompactLts impl_c = compact_from_lts(impl_lts);
   const bool with_div = model == Model::FailuresDivergences;
-
-  CheckResult result;
-  if (mode == Compression::None) {
-    const NormLts norm = normalize(spec_lts, with_div, cancel);
-    const Lts impl_lts = compile_or_load(ctx, impl, max_states, cancel);
-    result = refinement_sweep(norm, compact_from_lts(impl_lts), model, threads,
-                              cancel);
-  } else {
-    // Compressed path: reduce both component machines before normalization
-    // and the product walk. The sweep over the reduced machines decides the
-    // verdict; a violation is replayed on the uncompressed machines so the
-    // counterexample (and its canonical minimal-trace tie-break) is byte
-    // for byte the one --compress=none reports — FDR's "debug the
-    // uncompressed process" discipline.
-    const CompactLts spec_c = compact_from_lts(spec_lts);
-    const NormLts norm_z =
-        normalize(compress_compact(spec_c, mode, nullptr, cancel), with_div,
-                  cancel);
-    const Lts impl_lts = compile_or_load(ctx, impl, max_states, cancel);
-    const CompactLts impl_c = compact_from_lts(impl_lts);
-    result = refinement_sweep(
-        norm_z, compress_compact(impl_c, mode, nullptr, cancel), model,
-        threads, cancel);
-    if (!result.passed) {
-      const NormLts norm = normalize(spec_c, with_div, cancel);
-      result = refinement_sweep(norm, impl_c, model, threads, cancel);
-    }
-  }
+  CheckResult result = with_fail_replay(mode, cancel, [&](const auto& reduce) {
+    return refinement_sweep(normalize(reduce(spec_c), with_div, cancel),
+                            reduce(impl_c), model, threads, cancel);
+  });
   result.stats.spec_states = spec_lts.state_count();
   return result;
+}
+
+/// The shared body of the unary checks: compile `p` and decide with
+/// `sweep(machine)` under the fail-replay policy.
+template <typename Sweep>
+CheckResult unary_uncached(Context& ctx, ProcessRef p, std::size_t max_states,
+                           CancelToken* cancel, Compression mode,
+                           Sweep sweep) {
+  const Lts lts = compile_or_load(ctx, p, max_states, cancel);
+  const CompactLts compact = compact_from_lts(lts);
+  CheckResult result = with_fail_replay(
+      mode, cancel, [&](const auto& reduce) { return sweep(reduce(compact)); });
+  result.stats.impl_states = lts.state_count();
+  result.stats.impl_transitions = lts.transition_count();
+  return result;
+}
+
+/// IMPL :[deadlock free] or :[divergence free] on one machine.
+CheckResult reachability_sweep(const CompactLts& machine,
+                               const std::vector<bool>& bad,
+                               Counterexample::Kind kind, unsigned threads,
+                               CancelToken* cancel) {
+  const ReachabilityGraph g{machine, bad, kind};
+  return verdict_of(wave_search(g, resolve_check_threads(threads), cancel));
 }
 
 CheckResult deadlock_free_uncached(Context& ctx, ProcessRef p,
                                    std::size_t max_states, CancelToken* cancel,
                                    unsigned threads, Compression mode) {
-  CheckResult result;
-  const Lts lts = compile_or_load(ctx, p, max_states, cancel);
-  result.stats.impl_states = lts.state_count();
-  result.stats.impl_transitions = lts.transition_count();
-  const CompactLts compact = compact_from_lts(lts);
-
-  const auto sweep = [&](const CompactLts& machine) {
-    const DeadlockGraph g{machine};
-    return wave_search(g, resolve_check_threads(threads), cancel);
-  };
-  WaveOutcome out;
-  if (mode == Compression::None) {
-    out = sweep(compact);
-  } else {
-    out = sweep(compress_compact(compact, mode, nullptr, cancel));
-    // Verdict from the reduced machine, counterexample from the original.
-    if (out.violated) out = sweep(compact);
-  }
-  if (out.violated) {
-    result.counterexample = to_counterexample(std::move(out));
-    return result;
-  }
-  result.passed = true;
-  return result;
+  return unary_uncached(
+      ctx, p, max_states, cancel, mode, [&](const CompactLts& machine) {
+        // Post-tick and Omega states are termination, not deadlock: the
+        // compact flags carry that classification.
+        std::vector<bool> stuck(machine.state_count());
+        for (StateId s = 0; s < machine.state_count(); ++s) {
+          stuck[s] = machine.is_deadlock(s);
+        }
+        return reachability_sweep(machine, stuck, Counterexample::Kind::Deadlock,
+                                  threads, cancel);
+      });
 }
 
 CheckResult divergence_free_uncached(Context& ctx, ProcessRef p,
                                      std::size_t max_states,
                                      CancelToken* cancel, unsigned threads,
                                      Compression mode) {
-  CheckResult result;
-  const Lts lts = compile_or_load(ctx, p, max_states, cancel);
-  result.stats.impl_states = lts.state_count();
-  result.stats.impl_transitions = lts.transition_count();
-  const CompactLts compact = compact_from_lts(lts);
-
-  const auto sweep = [&](const CompactLts& machine) {
-    const std::vector<bool> diverges = machine.divergent_states();
-    const DivergenceGraph g{machine, diverges};
-    return wave_search(g, resolve_check_threads(threads), cancel);
-  };
-  WaveOutcome out;
-  if (mode == Compression::None) {
-    out = sweep(compact);
-  } else {
-    out = sweep(compress_compact(compact, mode, nullptr, cancel));
-    if (out.violated) out = sweep(compact);
-  }
-  if (out.violated) {
-    result.counterexample = to_counterexample(std::move(out));
-    return result;
-  }
-  result.passed = true;
-  return result;
+  return unary_uncached(
+      ctx, p, max_states, cancel, mode, [&](const CompactLts& machine) {
+        return reachability_sweep(machine, machine.divergent_states(),
+                                  Counterexample::Kind::Divergence, threads,
+                                  cancel);
+      });
 }
 
 CheckResult deterministic_uncached(Context& ctx, ProcessRef p,
                                    std::size_t max_states, CancelToken* cancel,
                                    unsigned threads, Compression mode) {
-  CheckResult result;
-  const Lts lts = compile_or_load(ctx, p, max_states, cancel);
-  result.stats.impl_states = lts.state_count();
-  result.stats.impl_transitions = lts.transition_count();
-  const CompactLts compact = compact_from_lts(lts);
-
-  const auto sweep = [&](const NormLts& norm) {
-    result.stats.spec_norm_nodes = norm.nodes.size();
-    const DeterminismGraph g{norm};
-    return wave_search(g, resolve_check_threads(threads), cancel);
-  };
-  WaveOutcome out;
-  if (mode == Compression::None) {
-    out = sweep(normalize(compact, /*with_divergence=*/true, cancel));
-  } else {
-    out = sweep(normalize(compress_compact(compact, mode, nullptr, cancel),
-                          /*with_divergence=*/true, cancel));
-    // Normalizing the reduced machine yields an equivalent normal form, but
-    // node discovery order can differ — replay on the original so a
-    // nondeterminism witness matches --compress=none byte for byte.
-    if (out.violated) {
-      out = sweep(normalize(compact, /*with_divergence=*/true, cancel));
-    }
-  }
-  if (out.violated) {
-    result.counterexample = to_counterexample(std::move(out));
-    return result;
-  }
-  result.passed = true;
-  return result;
+  // Normalizing a reduced machine yields an equivalent normal form, but node
+  // discovery order can differ; fail-replay keeps the nondeterminism witness
+  // byte-identical.
+  return unary_uncached(
+      ctx, p, max_states, cancel, mode, [&](const CompactLts& machine) {
+        const NormLts norm = normalize(machine, /*with_divergence=*/true, cancel);
+        const DeterminismGraph g{norm};
+        CheckResult result =
+            verdict_of(wave_search(g, resolve_check_threads(threads), cancel));
+        result.stats.spec_norm_nodes = norm.nodes.size();
+        return result;
+      });
 }
 
 }  // namespace
@@ -558,17 +519,10 @@ CheckResult check_refinement_compiled(const NormLts& norm,
                                       const CompactLts& impl, Model model,
                                       unsigned threads, CancelToken* cancel,
                                       Compression compress) {
-  const Compression mode = resolve_check_compression(compress);
-  if (mode == Compression::None) {
-    return refinement_sweep(norm, impl, model, threads, cancel);
-  }
-  CheckResult result =
-      refinement_sweep(norm, compress_compact(impl, mode, nullptr, cancel),
-                       model, threads, cancel);
-  if (!result.passed) {
-    result = refinement_sweep(norm, impl, model, threads, cancel);
-  }
-  return result;
+  return with_fail_replay(
+      resolve_check_compression(compress), cancel, [&](const auto& reduce) {
+        return refinement_sweep(norm, reduce(impl), model, threads, cancel);
+      });
 }
 
 CheckResult check_refinement_compiled(const NormLts& norm, const Lts& impl,
@@ -581,7 +535,7 @@ CheckResult check_refinement_compiled(const NormLts& norm, const Lts& impl,
 // Note: neither `threads` nor `compress` is part of the cache key (they
 // never reach the CheckCache) — the engine produces identical verdicts,
 // counterexamples and vacuity flags at every thread count and compression
-// level (the fail-replay above guarantees the latter), so a verdict cached
+// level (with_fail_replay guarantees the latter), so a verdict cached
 // under one configuration is valid under all of them.
 CheckResult check_refinement(Context& ctx, ProcessRef spec, ProcessRef impl,
                              Model model, std::size_t max_states,

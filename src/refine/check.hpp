@@ -164,9 +164,11 @@ class ScopedCheckCache {
 /// to the component LTSes before normalization and the product sweep;
 /// Compression::Ambient defers to check_compression() (installed by the
 /// scheduler or a CLI's --compress), defaulting to None. Reductions are
-/// verdict-, counterexample- and vacuity-preserving: a check that fails on
-/// the compressed machines is replayed on the uncompressed ones, so the
-/// counterexample bytes match --compress=none exactly. Like `threads`,
+/// verdict-, counterexample- and vacuity-preserving: every check entry point
+/// goes through one fail-replay helper (with_fail_replay in check.cpp),
+/// which replays a check that fails on the compressed machines on the
+/// uncompressed ones, so the counterexample bytes match --compress=none
+/// exactly. Like `threads`,
 /// `compress` is therefore deliberately NOT part of the cache key. Only the
 /// exploration *stats* may differ across compression levels on a PASS
 /// (fewer states swept is the point); refine_compress_diff_test pins the

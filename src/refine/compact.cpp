@@ -124,6 +124,49 @@ Lts compact_to_lts(const CompactLts& c) {
   return lts;
 }
 
+std::vector<StateId> bisim_partition(const CompactLts& c,
+                                     CancelToken* cancel) {
+  const std::size_t n = c.state_count();
+  if (cancel) cancel->poll_now();
+
+  // Kanellakis–Smolka: split by transition signature (set of event ->
+  // target block) until stable. Each round numbers its blocks by first
+  // occurrence; the last round splits nothing, so its numbering is a
+  // function of the final partition alone.
+  std::vector<StateId> block(n);
+  for (StateId s = 0; s < n; ++s) {
+    block[s] = c.degree(s) > 0 ? 0
+                               : 1 + (c.is_omega(s) ? 1u : 0u) +
+                                     (c.is_post_tick(s) ? 2u : 0u);
+  }
+  std::size_t blocks = 0;  // force at least one refinement round
+  for (;;) {
+    std::map<std::pair<StateId, std::set<std::pair<LocalEvent, StateId>>>,
+             StateId>
+        sig_to_new;
+    std::vector<StateId> next(n);
+    StateId next_blocks = 0;
+    for (StateId s = 0; s < n; ++s) {
+      if (cancel) cancel->poll();
+      std::set<std::pair<LocalEvent, StateId>> sig;
+      for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
+        sig.emplace(c.events[k], block[c.targets[k]]);
+      }
+      const auto key = std::make_pair(block[s], std::move(sig));
+      auto it = sig_to_new.find(key);
+      if (it == sig_to_new.end()) {
+        it = sig_to_new.emplace(key, next_blocks++).first;
+      }
+      next[s] = it->second;
+    }
+    const bool stable = next_blocks == blocks;
+    block = std::move(next);
+    blocks = next_blocks;
+    if (stable) break;
+  }
+  return block;
+}
+
 namespace {
 
 /// τ-SCC decomposition (iterative Kosaraju restricted to τ edges).
@@ -268,47 +311,14 @@ CompactLts finalize(StateId root, const Rows& rows,
   return out;
 }
 
-/// Strong-bisimulation quotient (Kanellakis–Smolka partition refinement,
-/// the minimize.cpp algorithm on the compact form). The initial partition
-/// separates terminal classes — Omega, post-tick and deadlocked states have
-/// identical (empty) transition signatures but different meaning to the
-/// deadlock check, so they must never share a block.
+/// Strong-bisimulation quotient of the reachable machine by
+/// bisim_partition.
 CompactLts bisim_quotient(const CompactLts& c, CancelToken* cancel) {
   const std::size_t n = c.state_count();
   if (n == 0) return c;
-  if (cancel) cancel->poll_now();
-
-  std::vector<StateId> block(n);
-  for (StateId s = 0; s < n; ++s) {
-    block[s] = c.degree(s) > 0 ? 0
-                               : 1 + (c.is_omega(s) ? 1u : 0u) +
-                                     (c.is_post_tick(s) ? 2u : 0u);
-  }
-  std::size_t blocks = 0;  // force at least one refinement round
-  for (;;) {
-    std::map<std::pair<StateId, std::set<std::pair<LocalEvent, StateId>>>,
-             StateId>
-        sig_to_new;
-    std::vector<StateId> next(n);
-    StateId next_blocks = 0;
-    for (StateId s = 0; s < n; ++s) {
-      if (cancel) cancel->poll();
-      std::set<std::pair<LocalEvent, StateId>> sig;
-      for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
-        sig.emplace(c.events[k], block[c.targets[k]]);
-      }
-      const auto key = std::make_pair(block[s], std::move(sig));
-      auto it = sig_to_new.find(key);
-      if (it == sig_to_new.end()) {
-        it = sig_to_new.emplace(key, next_blocks++).first;
-      }
-      next[s] = it->second;
-    }
-    const bool stable = next_blocks == blocks;
-    block = std::move(next);
-    blocks = next_blocks;
-    if (stable) break;
-  }
+  const std::vector<StateId> block = bisim_partition(c, cancel);
+  const std::size_t blocks =
+      *std::max_element(block.begin(), block.end()) + std::size_t{1};
   if (blocks == n) return c;  // already minimal: skip the rebuild
 
   Rows rows(n);

@@ -96,8 +96,8 @@ using LocalEvent = std::uint32_t;
 inline constexpr LocalEvent NO_LOCAL_EVENT = 0xffffffffu;
 
 struct CompactLts {
-  /// Per-state semantic flags, the information DeadlockGraph used to pull
-  /// from Lts::term_of / a side post_tick vector.
+  /// Per-state semantic flags, the information the deadlock check used to
+  /// pull from Lts::term_of / a side post_tick vector.
   static constexpr std::uint8_t kOmega = 1u;     // successful termination
   static constexpr std::uint8_t kPostTick = 2u;  // entered by a TICK edge
 
@@ -173,5 +173,18 @@ struct ReductionStats {
 CompactLts compress_compact(const CompactLts& in, Compression mode,
                             ReductionStats* stats = nullptr,
                             CancelToken* cancel = nullptr);
+
+/// The library's one strong-bisimulation refiner (Kanellakis–Smolka
+/// partition refinement, O(n^2 log n) worst case): the coarsest strong
+/// bisimulation of `c` that keeps terminal classes apart. Omega, post-tick
+/// and deadlocked states all have empty transition signatures but differ
+/// to the deadlock check, so the initial partition seeds them into separate
+/// blocks. Returns block_of[s] for every state, reachable or not, with
+/// blocks numbered by first occurrence in state order, so the numbering
+/// depends only on the final partition. Both the bisim reduction and
+/// minimize_strong (refine/minimize.hpp) quotient by it. Polls `cancel`
+/// per state in every refinement round.
+std::vector<StateId> bisim_partition(const CompactLts& c,
+                                     CancelToken* cancel = nullptr);
 
 }  // namespace ecucsp

@@ -1,8 +1,9 @@
 #include "refine/minimize.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
+
+#include "refine/compact.hpp"
 
 namespace ecucsp {
 
@@ -14,60 +15,12 @@ MinimizeResult minimize_strong(const Lts& lts, CancelToken* cancel) {
     result.lts.root = 0;
     return result;
   }
-  if (cancel) cancel->poll_now();
-
-  // Kanellakis–Smolka: split by transition signature (multimap event ->
-  // target block) until stable. O(n^2 log n) worst case, fine for explicit
-  // models.
-  //
-  // The initial partition is seeded by each state's outgoing *label set* —
-  // always coarser than bisimilarity, so the fixpoint is unchanged, but an
-  // already-normalized (deterministic, τ-free) machine stabilises in one
-  // round instead of re-deriving what normalization established. The final
-  // block numbering comes from the last refinement round's first-occurrence
-  // scan, which depends only on the equivalence classes — so the quotient
-  // is byte-identical to the unseeded computation.
-  std::vector<StateId> block(n, 0);
-  {
-    std::map<std::set<EventId>, StateId> label_sig;
-    for (StateId s = 0; s < n; ++s) {
-      std::set<EventId> labels;
-      for (const LtsTransition& t : lts.succ[s]) labels.insert(t.event);
-      block[s] = label_sig
-                     .emplace(std::move(labels),
-                              static_cast<StateId>(label_sig.size()))
-                     .first->second;
-    }
-  }
-  std::size_t blocks = 0;  // != any reachable count: run at least one round
-  for (;;) {
-    // Signature of each state under the current partition.
-    std::map<std::pair<StateId, std::set<std::pair<EventId, StateId>>>,
-             StateId>
-        sig_to_new;
-    std::vector<StateId> next(n);
-    StateId next_blocks = 0;
-    for (StateId s = 0; s < n; ++s) {
-      if (cancel) cancel->poll();
-      std::set<std::pair<EventId, StateId>> sig;
-      for (const LtsTransition& t : lts.succ[s]) {
-        sig.emplace(t.event, block[t.target]);
-      }
-      const auto key = std::make_pair(block[s], std::move(sig));
-      auto it = sig_to_new.find(key);
-      if (it == sig_to_new.end()) {
-        it = sig_to_new.emplace(key, next_blocks++).first;
-      }
-      next[s] = it->second;
-    }
-    const bool stable = next_blocks == blocks;
-    block = std::move(next);
-    blocks = next_blocks;
-    if (stable) break;
-  }
+  result.block_of = bisim_partition(compact_from_lts(lts), cancel);
+  const std::vector<StateId>& block = result.block_of;
+  const std::size_t blocks =
+      *std::max_element(block.begin(), block.end()) + std::size_t{1};
 
   // Build the quotient.
-  result.block_of = block;
   result.lts.succ.assign(blocks, {});
   result.lts.term_of.assign(blocks, nullptr);
   if (!lts.omega.empty()) result.lts.omega.assign(blocks, false);

@@ -17,11 +17,15 @@ struct MinimizeResult {
   std::size_t original_states = 0;
 };
 
-/// Partition-refinement (Kanellakis–Smolka style) quotient of `lts` by
-/// strong bisimilarity. Transition labels (including tau and tick) are
-/// respected exactly. O(n^2 log n) worst case, so `cancel` (when given) is
-/// polled per state inside every refinement pass — a long minimisation
-/// honours batch deadlines the same way check.cpp's explorations do.
+/// Quotient of `lts` by strong bisimilarity. Not a separate algorithm: the
+/// partition is bisim_partition's (refine/compact.hpp), the refiner behind
+/// --compress=bisim, so it seeds by terminal class and never merges a
+/// deadlocked state with an Omega or post-tick one. Transition labels
+/// (including tau and tick) are respected exactly. block_of covers every
+/// state, reachable or not; the quotient keeps term_of (first member's
+/// term) and omega. `cancel` (when given) is polled per state inside every
+/// refinement pass, so a long minimisation honours batch deadlines the same
+/// way check.cpp's explorations do.
 MinimizeResult minimize_strong(const Lts& lts, CancelToken* cancel = nullptr);
 
 /// Wrap an explicit LTS back into a process term (one Var definition per

@@ -10,6 +10,7 @@
 #include "can/dbc.hpp"
 #include "conform/harness.hpp"
 #include "conform/requirements.hpp"
+#include "core/json.hpp"
 #include "ota/ota.hpp"
 #include "replay/sweep.hpp"
 #include "verify/scheduler.hpp"
@@ -17,29 +18,6 @@
 namespace ecucsp::replay {
 
 namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// The id#data token of candump notation — provenance a user can grep for
 /// in the original log.

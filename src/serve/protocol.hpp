@@ -171,10 +171,6 @@ class FrameBuffer {
 /// verification store, which keys on PR 2 structural term digests.
 store::Digest request_digest(const CheckRequest& req);
 
-/// Minimal JSON string escape/unescape used by the JSON-lines framing
-/// (exposed for the stats renderer and tests).
-std::string json_escape(std::string_view s);
-
 /// Thread-safe strerror: the server and client format errno from worker
 /// and poll-loop threads, where std::strerror's shared static buffer is a
 /// data race (clang-tidy concurrency-mt-unsafe).

@@ -2,6 +2,7 @@
 
 #include <random>
 
+#include "refine/compact.hpp"
 #include "refine/dot.hpp"
 #include "refine/minimize.hpp"
 
@@ -109,6 +110,34 @@ TEST_F(MinimizeTest, CompressShrinksRedundantStructure) {
   const MinimizeResult min = minimize_strong(lts);
   EXPECT_EQ(min.lts.state_count(), 1u);  // all states do 'a' forever
   EXPECT_GE(min.original_states, 1u);
+}
+
+TEST_F(MinimizeTest, DeadlockAndTerminationStayInSeparateBlocks) {
+  // a -> STOP [] b -> SKIP: STOP and SKIP's Omega state are both
+  // transition-less, but one is a deadlock and the other successful
+  // termination. Merging them would hide the deadlock from the quotient.
+  const ProcessRef p = ctx.ext_choice(ctx.prefix(a, ctx.stop()),
+                                      ctx.prefix(b, ctx.skip()));
+  const Lts lts = compile_lts(ctx, p);
+  StateId stop_state = 0;
+  StateId omega_state = 0;
+  std::size_t stuck = 0;
+  for (StateId s = 0; s < lts.state_count(); ++s) {
+    if (!lts.succ[s].empty()) continue;
+    ++stuck;
+    (lts.omega[s] ? omega_state : stop_state) = s;
+  }
+  ASSERT_EQ(stuck, 2u);
+  ASSERT_TRUE(compact_from_lts(lts).is_deadlock(stop_state));
+
+  const MinimizeResult min = minimize_strong(lts);
+  EXPECT_NE(min.block_of[stop_state], min.block_of[omega_state]);
+  const CompactLts quotient = compact_from_lts(min.lts);
+  std::size_t deadlocks = 0;
+  for (StateId s = 0; s < quotient.state_count(); ++s) {
+    if (quotient.is_deadlock(s)) ++deadlocks;
+  }
+  EXPECT_EQ(deadlocks, 1u);
 }
 
 // --- dot export ----------------------------------------------------------------

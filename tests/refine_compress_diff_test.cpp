@@ -129,16 +129,23 @@ TEST_P(CompressDiff, RefinementIdenticalAtEveryModeAndThreadCount) {
          {Model::Traces, Model::Failures, Model::FailuresDivergences}) {
       const CheckResult ref = check_refinement(ctx, spec, impl, m, 1u << 22,
                                                nullptr, 1, Compression::None);
+      // The pre-compiled entry point shares the fail-replay path.
+      const NormLts norm = normalize(compile_lts(ctx, spec),
+                                     m == Model::FailuresDivergences);
+      const CompactLts impl_c = compact_from_lts(compile_lts(ctx, impl));
       for (const Compression mode : kModes) {
         for (const unsigned t : kThreadCounts) {
+          const std::string where =
+              "seed=" + std::to_string(GetParam()) +
+              " term=" + std::to_string(i) + " model=" + to_string(m) +
+              " mode=" + std::string(to_string(mode)) +
+              " threads=" + std::to_string(t);
           const CheckResult got =
               check_refinement(ctx, spec, impl, m, 1u << 22, nullptr, t, mode);
-          expect_same_verdict(
-              ctx, ref, got,
-              "seed=" + std::to_string(GetParam()) +
-                  " term=" + std::to_string(i) + " model=" + to_string(m) +
-                  " mode=" + std::string(to_string(mode)) +
-                  " threads=" + std::to_string(t));
+          expect_same_verdict(ctx, ref, got, where);
+          const CheckResult compiled =
+              check_refinement_compiled(norm, impl_c, m, t, nullptr, mode);
+          expect_same_verdict(ctx, ref, compiled, where + " compiled");
         }
       }
     }
