@@ -30,6 +30,10 @@
 // and reduction-factor curve, asserts verdict/counterexample coherence
 // against none, and gates "reduction_ok" on the acceptance threshold: full
 // must check >= 10x more raw product states per sweep than it visits.
+// It also reports "bisim_fail_ratio", the bisim FAIL path's wall clock over
+// none's from the same run, and flags "bisim_fail_ok" when the ratio stays
+// under kBisimFailRatioBound. The flag is not part of the exit status: only
+// optimised builds time the two paths comparably.
 //
 // Usage: bench_parallel_refinement [cyclers] [out.json]
 // Writes a machine-readable report (default BENCH_refine_parallel.json).
@@ -52,6 +56,11 @@ using namespace ecucsp;
 namespace {
 
 constexpr std::int64_t kLoops = 6;  // corrupt cycler K-1 after 6 full cycles
+// Upper bound on the bisim FAIL path's wall clock over none's. Release
+// builds on a 4-core x86-64 host measured 3.5x-4.2x over six runs, so 15x
+// leaves more than 3x headroom, while a quadratic Kanellakis-Smolka refiner
+// measures 100x-155x and fails it.
+constexpr double kBisimFailRatioBound = 15.0;
 
 struct Workload {
   NormLts spec;
@@ -308,6 +317,7 @@ int main(int argc, char** argv) {
   CheckResult hp_ref, hf_ref;
   std::size_t none_product = 0;
   double reduction_full = 1.0;
+  double none_fail_ms = 0.0, bisim_fail_ms = 0.0;
   std::string crows;
   for (const Compression mode : {Compression::None, Compression::Bisim,
                                  Compression::Diamond, Compression::Full}) {
@@ -332,6 +342,8 @@ int main(int argc, char** argv) {
                                  : static_cast<double>(none_product) /
                                        static_cast<double>(p.stats.product_states);
     if (mode == Compression::Full) reduction_full = reduction;
+    if (mode == Compression::None) none_fail_ms = fms;
+    if (mode == Compression::Bisim) bisim_fail_ms = fms;
     std::printf("%-8s| %11.1f | %11.1f | %13zu | %8.1fx | %s\n",
                 std::string(to_string(mode)).c_str(), pms, fms,
                 p.stats.product_states, reduction,
@@ -349,6 +361,14 @@ int main(int argc, char** argv) {
   const bool reduction_ok = reduction_full >= 10.0;
   std::printf("full-mode reduction factor %.1fx (>= 10x required): %s\n",
               reduction_full, reduction_ok ? "ok" : "TOO LOW");
+  // The bisim FAIL path pays for the refiner and then replays the sweep
+  // uncompressed, so its cost is reported against none's from the same run.
+  const double bisim_fail_ratio =
+      none_fail_ms > 0.0 ? bisim_fail_ms / none_fail_ms : 0.0;
+  const bool bisim_fail_ok = bisim_fail_ratio <= kBisimFailRatioBound;
+  std::printf("bisim/none fail-path ratio %.1fx (<= %.0fx expected): %s\n",
+              bisim_fail_ratio, kBisimFailRatioBound,
+              bisim_fail_ok ? "ok" : "TOO SLOW");
 
   std::FILE* out = std::fopen(out_path, "w");
   if (!out) {
@@ -363,11 +383,13 @@ int main(int argc, char** argv) {
                "\"compress_unreduced_product_states\":%zu,"
                "\"compress_runs\":[%s],"
                "\"reduction_factor\":%.3f,\"reduction_ok\":%s,"
+               "\"bisim_fail_ratio\":%.3f,\"bisim_fail_ok\":%s,"
                "\"coherent\":%s}\n",
                (long)cyclers, pass_ref.stats.product_states,
                fail_ref.stats.product_states, rows.c_str(), (long)kc,
                none_product, crows.c_str(), reduction_full,
-               reduction_ok ? "true" : "false",
+               reduction_ok ? "true" : "false", bisim_fail_ratio,
+               bisim_fail_ok ? "true" : "false",
                ok && reduction_ok ? "true" : "false");
   std::fclose(out);
 

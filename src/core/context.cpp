@@ -204,6 +204,7 @@ std::string Context::event_name(EventId e) const {
 ProcessRef Context::intern(ProcessNode&& node) {
   auto it = interned_.find(&node);
   if (it != interned_.end()) return *it;
+  node.serial_ = static_cast<std::uint32_t>(arena_.size());
   arena_.push_back(std::move(node));
   ProcessRef ref = &arena_.back();
   interned_.insert(ref);
@@ -608,8 +609,11 @@ std::vector<Transition> Context::compute_transitions(ProcessRef p) {
     }
   }
   // Deduplicate identical transitions (hash-consing makes targets comparable).
+  // Targets order by intern serial, not address, so the order — and with it
+  // compiled state numbering — is a function of the terms alone.
   std::sort(out.begin(), out.end(), [](const Transition& a, const Transition& b) {
-    return std::tie(a.event, a.target) < std::tie(b.event, b.target);
+    return std::tie(a.event, a.target->serial_) <
+           std::tie(b.event, b.target->serial_);
   });
   out.erase(std::unique(out.begin(), out.end(),
                         [](const Transition& a, const Transition& b) {

@@ -70,6 +70,7 @@ class ProcessNode {
   EventSet events_;                    // Par sync set / Hide set
   std::vector<RenamePair> renaming_;   // Rename
   Symbol var_name_ = 0;                // Var
+  std::uint32_t serial_ = 0;           // intern order within the Context
   std::vector<Value> var_args_;        // Var
   std::size_t hash_ = 0;               // precomputed structural hash
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <map>
-#include <set>
 #include <utility>
 
 namespace ecucsp {
@@ -124,47 +122,260 @@ Lts compact_to_lts(const CompactLts& c) {
   return lts;
 }
 
+namespace {
+
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+/// Valmari–Lehtinen refinable partition of {0..n-1}. Every set is a
+/// contiguous range [first, past) of `elems`; mark() moves an element into
+/// the marked prefix of its set, and split() cuts every touched set into
+/// its marked and unmarked parts. The new set id goes to the smaller part,
+/// so relabelling costs O(smaller part) and a split never costs more than
+/// the marking that caused it.
+struct RefinablePartition {
+  std::vector<std::uint32_t> elems;   // elements, grouped by set
+  std::vector<std::uint32_t> loc;     // position of each element in elems
+  std::vector<std::uint32_t> set_of;  // set of each element
+  std::vector<std::uint32_t> first, past, marked;  // per set
+  std::vector<std::uint32_t> touched;  // sets with a marked element
+
+  explicit RefinablePartition(std::size_t n)
+      : elems(n), loc(n), set_of(n, 0), first{0},
+        past{static_cast<std::uint32_t>(n)}, marked{0} {
+    for (std::uint32_t e = 0; e < n; ++e) elems[e] = loc[e] = e;
+  }
+
+  std::uint32_t size(std::uint32_t s) const { return past[s] - first[s]; }
+
+  void mark(std::uint32_t e) {
+    const std::uint32_t s = set_of[e];
+    const std::uint32_t i = loc[e];
+    const std::uint32_t j = first[s] + marked[s];
+    if (i < j) return;  // already marked
+    elems[i] = elems[j];
+    loc[elems[i]] = i;
+    elems[j] = e;
+    loc[e] = j;
+    if (marked[s]++ == 0) touched.push_back(s);
+  }
+
+  /// Split every touched set; on_split(old) runs once per cut, and the new
+  /// set takes the next id.
+  template <typename OnSplit>
+  void split(OnSplit&& on_split) {
+    for (const std::uint32_t s : touched) {
+      const std::uint32_t j = first[s] + marked[s];
+      marked[s] = 0;
+      if (j == past[s]) continue;  // wholly marked: nothing to cut
+      const auto z = static_cast<std::uint32_t>(first.size());
+      if (j - first[s] <= past[s] - j) {
+        first.push_back(first[s]);
+        past.push_back(j);
+        first[s] = j;
+      } else {
+        first.push_back(j);
+        past.push_back(past[s]);
+        past[s] = j;
+      }
+      marked.push_back(0);
+      for (std::uint32_t i = first[z]; i < past[z]; ++i) set_of[elems[i]] = z;
+      on_split(s);
+    }
+    touched.clear();
+  }
+};
+
+}  // namespace
+
 std::vector<StateId> bisim_partition(const CompactLts& c,
                                      CancelToken* cancel) {
   const std::size_t n = c.state_count();
   if (cancel) cancel->poll_now();
+  if (n == 0) return {};
+  const std::size_t m = c.transition_count();
 
-  // Kanellakis–Smolka: split by transition signature (set of event ->
-  // target block) until stable. Each round numbers its blocks by first
-  // occurrence; the last round splits nothing, so its numbering is a
-  // function of the final partition alone.
-  std::vector<StateId> block(n);
+  // Paige–Tarjan partition refinement with per-(state, label, splitter)
+  // counts, on Valmari–Lehtinen refinable partitions. Blocks refine
+  // "constellations" (unions of blocks, each a contiguous range of
+  // blocks.elems) and stay stable under every constellation: a block's
+  // states agree on which labels lead into it. A constellation of two or
+  // more blocks hands its smaller end block B to a constellation of its
+  // own, and the blocks are re-stabilised under B and the remainder by
+  // walking only the transitions into B. Each state lies in such a B at
+  // most log2(n) + 1 times, so the whole refinement is O(m log n).
+
+  // Predecessor CSR, built once: into[into_off[x] .. into_off[x+1]) are the
+  // transitions entering x.
+  std::vector<StateId> src(m);
+  std::vector<std::uint32_t> into_off(n + 1, 0);
   for (StateId s = 0; s < n; ++s) {
-    block[s] = c.degree(s) > 0 ? 0
-                               : 1 + (c.is_omega(s) ? 1u : 0u) +
-                                     (c.is_post_tick(s) ? 2u : 0u);
-  }
-  std::size_t blocks = 0;  // force at least one refinement round
-  for (;;) {
-    std::map<std::pair<StateId, std::set<std::pair<LocalEvent, StateId>>>,
-             StateId>
-        sig_to_new;
-    std::vector<StateId> next(n);
-    StateId next_blocks = 0;
-    for (StateId s = 0; s < n; ++s) {
-      if (cancel) cancel->poll();
-      std::set<std::pair<LocalEvent, StateId>> sig;
-      for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
-        sig.emplace(c.events[k], block[c.targets[k]]);
-      }
-      const auto key = std::make_pair(block[s], std::move(sig));
-      auto it = sig_to_new.find(key);
-      if (it == sig_to_new.end()) {
-        it = sig_to_new.emplace(key, next_blocks++).first;
-      }
-      next[s] = it->second;
+    for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
+      src[k] = s;
+      ++into_off[c.targets[k] + 1];
     }
-    const bool stable = next_blocks == blocks;
-    block = std::move(next);
-    blocks = next_blocks;
-    if (stable) break;
   }
-  return block;
+  for (std::size_t x = 0; x < n; ++x) into_off[x + 1] += into_off[x];
+  std::vector<std::uint32_t> into(m);
+  {
+    std::vector<std::uint32_t> fill(into_off.begin(), into_off.end() - 1);
+    for (std::uint32_t k = 0; k < m; ++k) into[fill[c.targets[k]]++] = k;
+  }
+
+  // Constellations, and the one each block belongs to. Splitting a block
+  // leaves its constellation with two blocks or more, so it is queued.
+  std::vector<std::uint32_t> cons_first{0};
+  std::vector<std::uint32_t> cons_past{static_cast<std::uint32_t>(n)};
+  std::vector<std::uint32_t> cons_of{0};
+  std::vector<std::uint8_t> queued{0};
+  std::vector<std::uint32_t> pending;
+  RefinablePartition blocks(n);
+  const auto on_split = [&](std::uint32_t old_block) {
+    const std::uint32_t k = cons_of[old_block];
+    cons_of.push_back(k);
+    if (!queued[k]) {
+      queued[k] = 1;
+      pending.push_back(k);
+    }
+  };
+
+  // Seed by terminal class: busy states, then the stuck ones split by their
+  // Omega and post-tick flags, which the deadlock check tells apart although
+  // none of them has a transition.
+  const auto terminal_class = [&](StateId s) {
+    return c.degree(s) > 0 ? 0u
+                           : 1u + (c.is_omega(s) ? 1u : 0u) +
+                                 (c.is_post_tick(s) ? 2u : 0u);
+  };
+  for (unsigned cls = 1; cls <= 4; ++cls) {
+    for (StateId s = 0; s < n; ++s) {
+      if (terminal_class(s) == cls) blocks.mark(s);
+    }
+    blocks.split(on_split);
+  }
+
+  // count[slot_of[k]] = the number of transitions with transition k's
+  // source and label that lead into the constellation of k's target. Slots
+  // whose count drops to zero are recycled, so at most m are live.
+  std::vector<std::uint32_t> count;
+  std::vector<std::uint32_t> slot_of(m);
+  std::vector<std::uint32_t> free_slots;
+  const auto new_slot = [&] {
+    if (free_slots.empty()) {
+      count.push_back(0);
+      return static_cast<std::uint32_t>(count.size() - 1);
+    }
+    const std::uint32_t slot = free_slots.back();
+    free_slots.pop_back();
+    return slot;
+  };
+
+  // Stabilise the seed under the single constellation of all states: split
+  // by which labels each state offers, and give each (state, label) pair
+  // its first slot.
+  {
+    std::vector<std::uint32_t> slot_of_label(c.alphabet.size(), kNone);
+    std::vector<std::vector<StateId>> offering(c.alphabet.size());
+    for (StateId s = 0; s < n; ++s) {
+      for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
+        std::uint32_t& slot = slot_of_label[c.events[k]];
+        if (slot == kNone) {
+          slot = new_slot();
+          offering[c.events[k]].push_back(s);
+        }
+        slot_of[k] = slot;
+        ++count[slot];
+      }
+      for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
+        slot_of_label[c.events[k]] = kNone;
+      }
+    }
+    for (const std::vector<StateId>& offerers : offering) {
+      for (const StateId s : offerers) blocks.mark(s);
+      blocks.split(on_split);
+    }
+  }
+
+  // Scratch for one splitter B: the transitions into B gathered per label,
+  // and per source state the slots of its moves into B and into the rest
+  // of B's old constellation.
+  std::vector<std::vector<std::uint32_t>> by_label(c.alphabet.size());
+  std::vector<LocalEvent> labels;
+  std::vector<std::uint32_t> into_b(n, kNone);
+  std::vector<std::uint32_t> into_rest(n);
+  std::vector<StateId> sources;
+  while (!pending.empty()) {
+    if (cancel) cancel->poll();
+    const std::uint32_t k = pending.back();
+    const std::uint32_t head = blocks.set_of[blocks.elems[cons_first[k]]];
+    const std::uint32_t tail = blocks.set_of[blocks.elems[cons_past[k] - 1]];
+    const std::uint32_t b =
+        blocks.size(head) <= blocks.size(tail) ? head : tail;
+    if (b == head) {
+      cons_first[k] = blocks.past[b];
+    } else {
+      cons_past[k] = blocks.first[b];
+    }
+    if (blocks.set_of[blocks.elems[cons_first[k]]] ==
+        blocks.set_of[blocks.elems[cons_past[k] - 1]]) {
+      queued[k] = 0;  // down to one block
+      pending.pop_back();
+    }
+    cons_of[b] = static_cast<std::uint32_t>(cons_first.size());
+    cons_first.push_back(blocks.first[b]);
+    cons_past.push_back(blocks.past[b]);
+    queued.push_back(0);
+
+    for (std::uint32_t i = blocks.first[b]; i < blocks.past[b]; ++i) {
+      const StateId x = blocks.elems[i];
+      for (std::uint32_t j = into_off[x]; j < into_off[x + 1]; ++j) {
+        const LocalEvent a = c.events[into[j]];
+        if (by_label[a].empty()) labels.push_back(a);
+        by_label[a].push_back(into[j]);
+      }
+    }
+    for (const LocalEvent a : labels) {
+      // Move every a-transition into B from its old slot (source, a, k) to
+      // a fresh one (source, a, B).
+      for (const std::uint32_t t : by_label[a]) {
+        const StateId s = src[t];
+        if (into_b[s] == kNone) {
+          into_b[s] = new_slot();
+          into_rest[s] = slot_of[t];
+          sources.push_back(s);
+        }
+        --count[slot_of[t]];
+        ++count[into_b[s]];
+        slot_of[t] = into_b[s];
+      }
+      by_label[a].clear();
+      // Three-way split: states with an a-move into B, and among those,
+      // the ones with no a-move left into the rest of the constellation.
+      for (const StateId s : sources) blocks.mark(s);
+      blocks.split(on_split);
+      for (const StateId s : sources) {
+        if (count[into_rest[s]] == 0) {
+          blocks.mark(s);
+          free_slots.push_back(into_rest[s]);
+        }
+        into_b[s] = kNone;
+      }
+      blocks.split(on_split);
+      sources.clear();
+    }
+    labels.clear();
+  }
+
+  // Number blocks by first occurrence in state order, so block_of depends
+  // only on the final partition.
+  std::vector<StateId> block_of(n);
+  std::vector<std::uint32_t> renumber(blocks.first.size(), kNone);
+  StateId next = 0;
+  for (StateId s = 0; s < n; ++s) {
+    std::uint32_t& r = renumber[blocks.set_of[s]];
+    if (r == kNone) r = next++;
+    block_of[s] = r;
+  }
+  return block_of;
 }
 
 namespace {

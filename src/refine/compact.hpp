@@ -174,16 +174,19 @@ CompactLts compress_compact(const CompactLts& in, Compression mode,
                             ReductionStats* stats = nullptr,
                             CancelToken* cancel = nullptr);
 
-/// The library's one strong-bisimulation refiner (Kanellakis–Smolka
-/// partition refinement, O(n^2 log n) worst case): the coarsest strong
-/// bisimulation of `c` that keeps terminal classes apart. Omega, post-tick
-/// and deadlocked states all have empty transition signatures but differ
-/// to the deadlock check, so the initial partition seeds them into separate
-/// blocks. Returns block_of[s] for every state, reachable or not, with
-/// blocks numbered by first occurrence in state order, so the numbering
-/// depends only on the final partition. Both the bisim reduction and
-/// minimize_strong (refine/minimize.hpp) quotient by it. Polls `cancel`
-/// per state in every refinement round.
+/// The library's one strong-bisimulation refiner: Paige–Tarjan partition
+/// refinement with per-(state, label, splitter) counts on Valmari–Lehtinen
+/// refinable partitions, walking only the smaller half of every split, in
+/// O(m log n) time and O(n + m) space for n states and m transitions. It
+/// computes the coarsest strong bisimulation of `c` that keeps terminal
+/// classes apart. Omega, post-tick and deadlocked states all have empty
+/// transition signatures but differ to the deadlock check, so the initial
+/// partition seeds them into separate blocks. Returns block_of[s] for every
+/// state, reachable or not, with blocks numbered by first occurrence in
+/// state order; that partition is unique, so the numbering depends only on
+/// the machine. Both the bisim reduction and minimize_strong
+/// (refine/minimize.hpp) quotient by it. Polls `cancel` at entry and once
+/// per splitter.
 std::vector<StateId> bisim_partition(const CompactLts& c,
                                      CancelToken* cancel = nullptr);
 

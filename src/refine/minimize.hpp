@@ -3,7 +3,9 @@
 // component before composing or checking it preserves every refinement
 // verdict in all three semantic models (strong bisimilarity implies
 // equality in T, F and FD), while often shrinking the state count
-// dramatically; bench_refinement_scaling quantifies the trade-off.
+// dramatically; bench_refinement_scaling quantifies the trade-off. The
+// partition comes from bisim_partition (refine/compact.hpp), an O(m log n)
+// Paige–Tarjan refiner.
 #pragma once
 
 #include "core/cancel.hpp"
@@ -23,9 +25,10 @@ struct MinimizeResult {
 /// deadlocked state with an Omega or post-tick one. Transition labels
 /// (including tau and tick) are respected exactly. block_of covers every
 /// state, reachable or not; the quotient keeps term_of (first member's
-/// term) and omega. `cancel` (when given) is polled per state inside every
-/// refinement pass, so a long minimisation honours batch deadlines the same
-/// way check.cpp's explorations do.
+/// term) and omega. The refinement runs in O(m log n) for m transitions
+/// over n states. `cancel` (when given) is polled at entry and once per
+/// splitter of the refinement, so a long minimisation honours batch
+/// deadlines the same way check.cpp's explorations do.
 MinimizeResult minimize_strong(const Lts& lts, CancelToken* cancel = nullptr);
 
 /// Wrap an explicit LTS back into a process term (one Var definition per

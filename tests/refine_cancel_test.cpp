@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "core/event.hpp"
+#include "refine/compact.hpp"
 #include "refine/lts.hpp"
 #include "refine/minimize.hpp"
 #include "refine/normalize.hpp"
@@ -94,6 +95,35 @@ TEST(RefineCancel, CompressForwardsTheToken) {
   CancelToken token;
   token.set_timeout(std::chrono::milliseconds(1));
   EXPECT_THROW(compress(ctx, p, "big", 1u << 22, &token), CheckCancelled);
+}
+
+TEST(RefineCancel, ExpiredDeadlineAbortsBisimCompressInTheRefiner) {
+  // compress_compact's bisim mode goes straight to bisim_partition, whose
+  // entry poll must turn an already-expired token away before any work.
+  const CompactLts big = compact_from_lts(big_chain(200'000));
+  CancelToken token;
+  token.set_deadline(CancelToken::Clock::now() -
+                     std::chrono::milliseconds(1));
+  try {
+    compress_compact(big, Compression::Bisim, nullptr, &token);
+    FAIL() << "bisim compression ignored an expired deadline";
+  } catch (const CheckCancelled& e) {
+    EXPECT_EQ(e.reason(), CheckCancelled::Reason::DeadlineExceeded);
+  }
+}
+
+TEST(RefineCancel, ShortDeadlineAbortsBisimRefinerMidRun) {
+  // A 2M-state chain needs a split per position; the refiner polls once
+  // per splitter, so a 1ms deadline fires from inside the refinement.
+  const CompactLts big = compact_from_lts(big_chain(2'000'000));
+  CancelToken token;
+  token.set_timeout(std::chrono::milliseconds(1));
+  try {
+    compress_compact(big, Compression::Bisim, nullptr, &token);
+    FAIL() << "bisim compression outran a 1ms deadline on 2M states";
+  } catch (const CheckCancelled& e) {
+    EXPECT_EQ(e.reason(), CheckCancelled::Reason::DeadlineExceeded);
+  }
 }
 
 TEST(RefineCancel, NoTokenRunsToCompletion) {

@@ -9,8 +9,11 @@
 // corruption, plain garbage).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 
+#include "core/rng.hpp"
+#include "cspm/eval.hpp"
 #include "refine/check.hpp"
 #include "refine/lts.hpp"
 #include "store/serialize.hpp"
@@ -278,6 +281,39 @@ TEST(SerializeLts, RandomisedRoundTripProperty) {
           SerializeError);
     }
   }
+}
+
+// Nondeterministic same-event branches to many distinct targets: the order
+// the compiler gives them is where heap addresses could leak into state
+// numbering.
+constexpr const char* kNondetScript = R"(
+channel a, b : {0..3}
+channel c
+P(i) = a!i -> P((i + 1) % 4) |~| a!i -> Q(i) |~| b?x -> P(x)
+Q(i) = b!i -> P(i) [] c -> STOP
+SYS = P(0) ||| Q(3)
+)";
+
+std::vector<std::uint8_t> compile_and_seal(const char* source) {
+  Context ctx;
+  cspm::Evaluator ev(ctx);
+  ev.load_source(source);
+  return seal_lts(ctx, compile_lts(ctx, ev.process("SYS")));
+}
+
+TEST(SerializeLts, CompiledBytesDoNotDependOnHeapLayout) {
+  const std::vector<std::uint8_t> first = compile_and_seal(kNondetScript);
+  // Hold a few thousand heap blocks of varied sizes and free every other
+  // one, so the second Context's terms land at scattered addresses.
+  std::vector<std::unique_ptr<char[]>> held;
+  std::uint64_t rng = core::seed_state(14);
+  for (int i = 0; i < 4000; ++i) {
+    held.emplace_back(new char[16 + core::splitmix64(rng) % 2048]);
+  }
+  for (std::size_t i = 0; i < held.size(); i += 2) held[i].reset();
+  const std::vector<std::uint8_t> second = compile_and_seal(kNondetScript);
+  EXPECT_GT(first.size(), 1000u);
+  EXPECT_EQ(first, second);
 }
 
 TEST(SerializeLts, RejectsDanglingReferences) {
